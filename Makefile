@@ -189,4 +189,4 @@ fuzz-sched-long:
 	$(GO) run ./cmd/schedfuzz -trials 20000 -seed $(FUZZ_SEED) -stall 5s
 
 clean:
-	rm -f BENCH_trace.json BENCH_cancel.json BENCH_steal.json BENCH_pfor.json BENCH_san.json BENCH_obs.json BENCH_serve.json BENCH_local.json BENCH_mem.json trace.json
+	rm -f BENCH_trace.json BENCH_cancel.json BENCH_steal.json BENCH_pfor.json BENCH_san.json BENCH_obs.json BENCH_serve.json BENCH_local.json BENCH_mem.json BENCH_spawn.json trace.json

@@ -36,7 +36,7 @@ func BenchmarkCancelFibUncancelled(b *testing.B) {
 }
 
 // BenchmarkCancelLatencyFib measures abandonment latency: the time from
-// firing the cancel to RunCtx returning with ErrCanceled, on a fib(24) run
+// firing the cancel to Ticket.Wait returning with ErrCanceled, on a fib(24) run
 // with plenty of outstanding tasks — the cost of draining (skipping) the
 // spawn tree rather than running it.
 func BenchmarkCancelLatencyFib(b *testing.B) {
@@ -49,7 +49,7 @@ func BenchmarkCancelLatencyFib(b *testing.B) {
 		var leaves atomic.Int64
 		done := make(chan error, 1)
 		go func() {
-			done <- rt.RunCtx(ctx, func(c *cilkgo.Context) {
+			tk, err := rt.Submit(ctx, func(c *cilkgo.Context) {
 				var rec func(c *cilkgo.Context, n int)
 				rec = func(c *cilkgo.Context, n int) {
 					if n < 2 {
@@ -62,6 +62,10 @@ func BenchmarkCancelLatencyFib(b *testing.B) {
 				}
 				rec(c, 24)
 			})
+			if err == nil {
+				err = tk.Wait()
+			}
+			done <- err
 		}()
 		for leaves.Load() < 64 { // let the spawn tree get going
 		}

@@ -21,13 +21,13 @@
 //		})
 //	})
 //
-// For server use, computations are context-aware: Runtime.RunCtx abandons
-// the computation cooperatively when the context is canceled or its
-// deadline passes (returning ErrCanceled or ErrDeadlineExceeded), panics
-// are quarantined per run (a *PanicError carrying every sibling panic; the
-// runtime stays healthy), and Runtime.ShutdownDrain bounds how long
-// in-flight work may outlive a shutdown. See the "API at a glance" table
-// in README.md.
+// For server use, computations are context-aware: a computation started
+// with Runtime.Submit(ctx, fn) is abandoned cooperatively when ctx is
+// canceled or its deadline passes (Ticket.Wait returns ErrCanceled or
+// ErrDeadlineExceeded), panics are quarantined per run (a *PanicError
+// carrying every sibling panic; the runtime stays healthy), and
+// Runtime.ShutdownDrain bounds how long in-flight work may outlive a
+// shutdown. See the "API at a glance" table in README.md.
 //
 // Subsystem packages (importable directly for their full APIs):
 //
@@ -112,10 +112,10 @@ type (
 // errors.Is: errors.Is(ErrCanceled, context.Canceled) and
 // errors.Is(ErrDeadlineExceeded, context.DeadlineExceeded) hold.
 var (
-	// ErrCanceled is returned by Runtime.RunCtx when the computation was
-	// abandoned because its context was canceled.
+	// ErrCanceled is reported by Submit / Ticket.Wait when the computation
+	// was abandoned because its context was canceled.
 	ErrCanceled = sched.ErrCanceled
-	// ErrDeadlineExceeded is returned by Runtime.RunCtx when the
+	// ErrDeadlineExceeded is reported by Submit / Ticket.Wait when the
 	// computation was abandoned because its context's deadline passed.
 	ErrDeadlineExceeded = sched.ErrDeadlineExceeded
 	// ErrShutdown is returned by Run on a runtime that has been shut
@@ -188,8 +188,8 @@ func RandomFaultPlan(seed int64) SanitizePlan { return schedsan.RandomPlan(seed)
 
 // Serving layer (see Runtime.Submit in internal/sched): the canonical
 // submission API plus its per-run options, QoS classes, admission control,
-// and load reporting. Submit subsumes the four legacy Run entry points —
-// Run/RunCtx/RunWithStats/RunWithStatsCtx remain as deprecated wrappers.
+// and load reporting. Submit is the one general entry point; Runtime.Run is
+// its convenience, Submit(context.Background(), fn) then Ticket.Wait.
 //
 //	tk, err := rt.Submit(ctx, fn,
 //		cilkgo.WithTenant("acme"), cilkgo.WithQoS(cilkgo.QoSInteractive),
@@ -283,10 +283,6 @@ type MemReport = sched.MemReport
 // WithAdmission arms admission control: Submit rejects with ErrAdmission /
 // ErrQuota instead of queueing unboundedly.
 func WithAdmission(cfg AdmissionConfig) Option { return sched.WithAdmission(cfg) }
-
-// WithLegacyInject reverts root injection to the pre-sharding single FIFO
-// (blind to QoS and priority) — the A/B baseline for the serving benchmarks.
-func WithLegacyInject() Option { return sched.WithLegacyInject() }
 
 // WriteChromeTrace writes a drained trace as Chrome trace-event JSON, one
 // track per worker, viewable in Perfetto or chrome://tracing.

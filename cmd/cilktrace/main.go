@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -82,12 +83,16 @@ func main() {
 
 	tr := rt.Tracer()
 	tr.Start()
-	stats, runErr := rt.RunWithStats(run)
+	tk, runErr := rt.Submit(context.Background(), run, cilkgo.WithStats())
+	if runErr == nil {
+		runErr = tk.Wait()
+	}
 	snap := tr.Stop()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "cilktrace: workload failed: %v\n", runErr)
 		os.Exit(1)
 	}
+	stats := tk.Stats()
 
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -215,12 +215,17 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64, opts schedsan.O
 		const n, grain = 4000, 3
 		counts := make([]int32, n)
 		var sum atomic.Int64
-		stats, err := rt.RunWithStats(func(c *sched.Context) {
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 			pfor.ForGrain(c, 0, n, grain, func(c *sched.Context, i int) {
 				atomic.AddInt32(&counts[i], 1)
 				sum.Add(int64(i))
 			})
-		})
+		}, sched.WithStats())
+		var stats sched.Stats
+		if err == nil {
+			err = tk.Wait()
+			stats = tk.Stats()
+		}
 		if err != nil {
 			addf("loop property: unexpected error %v", err)
 		}
@@ -287,7 +292,12 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64, opts schedsan.O
 			c.Sync()
 			*out = a + b
 		}
-		stats, err := rt.RunWithStats(func(c *sched.Context) { fib(c, 14, &got) })
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { fib(c, 14, &got) }, sched.WithStats())
+		var stats sched.Stats
+		if err == nil {
+			err = tk.Wait()
+			stats = tk.Stats()
+		}
 		if err != nil {
 			addf("fib property: unexpected error %v", err)
 		}
@@ -306,11 +316,14 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64, opts schedsan.O
 		const n = 50_000
 		counts := make([]int32, n)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-		err := rt.RunCtx(ctx, func(c *sched.Context) {
+		tk, err := rt.Submit(ctx, func(c *sched.Context) {
 			pfor.ForGrain(c, 0, n, 8, func(c *sched.Context, i int) {
 				atomic.AddInt32(&counts[i], 1)
 			})
 		})
+		if err == nil {
+			err = tk.Wait()
+		}
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 			addf("cancel property: unexpected error %v", err)

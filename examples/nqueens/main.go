@@ -17,9 +17,14 @@ import (
 const n = 11
 
 func main() {
-	// Serial reference via the single-worker runtime.
+	// Serial reference via the single-worker runtime. One untimed pass first
+	// pays the process's warm-up (worker start-up, the first frame-slab
+	// carve), so the P=1 row below compares like with like and reads ≈1.0.
 	serialRT := cilkgo.New(cilkgo.WithWorkers(1))
 	var want int64
+	if err := serialRT.Run(func(c *cilkgo.Context) { want = workloads.NQueens(c, n) }); err != nil {
+		panic(err)
+	}
 	start := time.Now()
 	if err := serialRT.Run(func(c *cilkgo.Context) { want = workloads.NQueens(c, n) }); err != nil {
 		panic(err)

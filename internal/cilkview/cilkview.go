@@ -18,9 +18,9 @@ package cilkview
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"cilkgo/internal/dag"
 	"cilkgo/internal/sched"
@@ -162,13 +162,20 @@ func CSV(p Profile, procs []int, measured []Point) string {
 }
 
 // Measure profiles a real computation: it executes fn as its serial elision
-// with timing hooks, charging the wall-clock duration of every strand
-// (the code between consecutive parallel-control events) as that strand's
-// work, and reconstructs the computation's dag to obtain measured work and
-// span in nanoseconds. This is how the Cilk++ tool produced Fig. 3 from an
-// actual quicksort binary.
+// with timing hooks, charging the time spent on every strand (the code
+// between consecutive parallel-control events) as that strand's work, and
+// reconstructs the computation's dag to obtain measured work and span in
+// nanoseconds. This is how the Cilk++ tool produced Fig. 3 from an actual
+// quicksort binary.
+//
+// The serial elision runs inline on the caller's goroutine, which Measure
+// locks to its OS thread for the duration. On Linux a strand is charged the
+// thread's CPU time, so a profile taken on a loaded machine does not count
+// preemption as work on the span; elsewhere it is charged wall-clock time.
 func Measure(name string, fn func(*sched.Context)) (Profile, error) {
-	tr := &timingHooks{bld: dag.NewBuilder(), last: time.Now()}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	tr := &timingHooks{bld: dag.NewBuilder(), last: strandClock()}
 	rt := sched.New(sched.WithSerialElision(), sched.WithHooks(tr))
 	if err := rt.Run(fn); err != nil {
 		return Profile{}, err
@@ -192,20 +199,16 @@ func Measure(name string, fn func(*sched.Context)) (Profile, error) {
 // arrive. The hooks run serially on one goroutine.
 type timingHooks struct {
 	bld      *dag.Builder
-	last     time.Time
+	last     int64 // strandClock reading at the current strand's start
 	spawns   int64
 	depth    int  // spawned/called frames currently open (root excluded)
 	rootOpen bool // the root frame's FrameStart has fired
 }
 
-// charge closes the current strand, crediting the elapsed wall time.
+// charge closes the current strand, crediting the elapsed strandClock time.
 func (h *timingHooks) charge() {
-	now := time.Now()
-	ns := now.Sub(h.last).Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	h.bld.Step(ns)
+	now := strandClock()
+	h.bld.Step(max(now-h.last, 0))
 	h.last = now
 }
 

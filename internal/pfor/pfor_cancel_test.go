@@ -12,7 +12,7 @@ import (
 
 // TestForCancelSkipsRemainingChunks: a cilk_for whose run is cancelled
 // mid-loop abandons the remaining chunks — a bounded number of grains
-// (those already executing) finish, and no new chunk starts after RunCtx
+// (those already executing) finish, and no new chunk starts after Wait
 // returns.
 func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(4))
@@ -20,7 +20,7 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	const n = 100_000
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	err := rt.RunCtx(ctx, func(c *sched.Context) {
+	tk, err := rt.Submit(ctx, func(c *sched.Context) {
 		ForGrain(c, 0, n, 8, func(c *sched.Context, i int) {
 			if started.Add(1) == 64 {
 				cancel()
@@ -28,6 +28,9 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 			time.Sleep(5 * time.Microsecond)
 		})
 	})
+	if err == nil {
+		err = tk.Wait()
+	}
 	if !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -35,11 +38,11 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	if after >= n {
 		t.Fatalf("all %d iterations ran despite cancellation", n)
 	}
-	// No chunk may start once RunCtx has returned: the loop's fork-join
+	// No chunk may start once Wait has returned: the loop's fork-join
 	// nest has drained.
 	time.Sleep(20 * time.Millisecond)
 	if got := started.Load(); got != after {
-		t.Fatalf("iterations advanced from %d to %d after RunCtx returned", after, got)
+		t.Fatalf("iterations advanced from %d to %d after Wait returned", after, got)
 	}
 }
 
@@ -50,7 +53,7 @@ func TestForUncancelledCompletes(t *testing.T) {
 	defer rt.Shutdown()
 	const n = 50_000
 	counts := make([]int32, n)
-	err := rt.RunCtx(context.Background(), func(c *sched.Context) {
+	err := rt.Run(func(c *sched.Context) {
 		For(c, 0, n, func(c *sched.Context, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -108,7 +111,7 @@ func TestReduceOnCancelledRun(t *testing.T) {
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := rt.RunCtx(ctx, func(c *sched.Context) {
+	_, err := rt.Submit(ctx, func(c *sched.Context) {
 		t.Error("body ran under a pre-cancelled context")
 	})
 	if !errors.Is(err, sched.ErrCanceled) {

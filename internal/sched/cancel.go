@@ -27,16 +27,16 @@ import (
 // single-atomic-load gating pattern as the tracer, so the uncancelled hot
 // path stays within noise of a runtime without the layer.
 
-// Sentinel errors returned by Run/RunCtx. Each also matches its context
-// counterpart under errors.Is (ErrCanceled ↔ context.Canceled,
-// ErrDeadlineExceeded ↔ context.DeadlineExceeded), so callers holding only
-// the context idiom need no new comparisons.
+// Sentinel errors reported by Submit and Ticket.Wait (and so by Run). Each
+// also matches its context counterpart under errors.Is (ErrCanceled ↔
+// context.Canceled, ErrDeadlineExceeded ↔ context.DeadlineExceeded), so
+// callers holding only the context idiom need no new comparisons.
 var (
-	// ErrCanceled is returned by RunCtx when the computation was abandoned
-	// because its context was canceled.
+	// ErrCanceled is reported when the computation was abandoned because
+	// its context was canceled (by Submit itself if it already was).
 	ErrCanceled error = &cancelError{msg: "sched: computation canceled", is: context.Canceled}
-	// ErrDeadlineExceeded is returned by RunCtx when the computation was
-	// abandoned because its context's deadline passed.
+	// ErrDeadlineExceeded is reported when the computation was abandoned
+	// because its context's deadline (or WithTimeBudget) passed.
 	ErrDeadlineExceeded error = &cancelError{msg: "sched: computation deadline exceeded", is: context.DeadlineExceeded}
 	// ErrShutdown is returned by Run on a runtime that has been shut down,
 	// and by in-flight Runs that ShutdownDrain cancels at its drain
@@ -132,40 +132,14 @@ func (c *Context) Cancelled() bool { return c.frame.run.cancelled() }
 
 // Err returns nil while the strand's run is live, and the cancellation
 // cause once it has been canceled: ErrCanceled, ErrDeadlineExceeded,
-// ErrShutdown, or an internal marker when a sibling strand panicked (Run
-// itself reports the *PanicError).
+// ErrShutdown, or an internal marker when a sibling strand panicked
+// (Ticket.Wait itself reports the *PanicError).
 func (c *Context) Err() error {
 	rs := c.frame.run
 	if !rs.cancelled() {
 		return nil
 	}
 	return rs.cause
-}
-
-// RunCtx is Run under a context: the computation is cooperatively canceled
-// when ctx is canceled or its deadline passes, and RunCtx then returns
-// ErrCanceled or ErrDeadlineExceeded. Cancellation is abandonment, not
-// interruption — strands already running finish their current grain (or
-// poll Context.Cancelled and bail), strands not yet started are skipped,
-// and RunCtx returns only after the run's outstanding work has drained, so
-// no strand of the computation is still executing when it returns.
-//
-// Run is exactly RunCtx(context.Background(), fn).
-//
-// Deprecated: use Submit — RunCtx(ctx, fn) is Submit(ctx, fn) followed by
-// Ticket.Wait (with submission-time errors folded into the same return).
-func (rt *Runtime) RunCtx(ctx context.Context, fn func(*Context)) error {
-	_, err := rt.run(ctx, fn, false)
-	return err
-}
-
-// RunWithStatsCtx is RunWithStats under a context, with RunCtx's
-// cancellation semantics. The returned Stats covers the work the
-// computation actually did before completing or being abandoned.
-//
-// Deprecated: use Submit with WithStats, then Ticket.Wait and Ticket.Stats.
-func (rt *Runtime) RunWithStatsCtx(ctx context.Context, fn func(*Context)) (Stats, error) {
-	return rt.run(ctx, fn, true)
 }
 
 // ShutdownDrain gracefully shuts the runtime down: new Runs are rejected

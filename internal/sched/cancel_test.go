@@ -29,7 +29,7 @@ func spinFib(c *Context, n int, delay time.Duration, leaves *atomic.Int64) {
 
 // TestRunCtxCancelDuringStealHeavyRun: cancelling mid-run returns
 // ErrCanceled (matching context.Canceled under errors.Is), no strand of the
-// computation is still executing when RunCtx returns, and the runtime is
+// computation is still executing when Wait returns, and the runtime is
 // healthy for the next Run.
 func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	rt := New(WithWorkers(4))
@@ -42,7 +42,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 		}
 		cancel()
 	}()
-	err := rt.RunCtx(ctx, func(c *Context) { spinFib(c, 22, 100*time.Microsecond, &leaves) })
+	_, err := submitWait(rt, ctx, func(c *Context) { spinFib(c, 22, 100*time.Microsecond, &leaves) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -53,7 +53,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	after := leaves.Load()
 	time.Sleep(20 * time.Millisecond)
 	if got := leaves.Load(); got != after {
-		t.Fatalf("leaves advanced from %d to %d after RunCtx returned", after, got)
+		t.Fatalf("leaves advanced from %d to %d after Wait returned", after, got)
 	}
 	full := fibSerial(22)
 	if after >= full {
@@ -72,7 +72,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	}
 }
 
-// TestRunCtxDeadline: a deadline cancels the run and RunCtx returns
+// TestRunCtxDeadline: a deadline cancels the run and Wait returns
 // ErrDeadlineExceeded, matching context.DeadlineExceeded.
 func TestRunCtxDeadline(t *testing.T) {
 	rt := New(WithWorkers(2))
@@ -81,7 +81,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	defer cancel()
 	var leaves atomic.Int64
 	start := time.Now()
-	err := rt.RunCtx(ctx, func(c *Context) { spinFib(c, 30, 50*time.Microsecond, &leaves) })
+	_, err := submitWait(rt, ctx, func(c *Context) { spinFib(c, 30, 50*time.Microsecond, &leaves) })
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -91,19 +91,19 @@ func TestRunCtxDeadline(t *testing.T) {
 	// fib(30) would take minutes at 50µs per leaf; the deadline must have
 	// abandoned it quickly.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("RunCtx took %v after a 5ms deadline", elapsed)
+		t.Fatalf("Submit+Wait took %v after a 5ms deadline", elapsed)
 	}
 }
 
-// TestRunCtxPreCancelled: a context already done rejects the computation
-// without running any of it.
+// TestRunCtxPreCancelled: a context already done makes Submit reject the
+// computation with ErrCanceled without running any of it.
 func TestRunCtxPreCancelled(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := rt.RunCtx(ctx, func(*Context) { ran = true }); !errors.Is(err, ErrCanceled) {
+	if _, err := submitWait(rt, ctx, func(*Context) { ran = true }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if ran {
@@ -111,13 +111,13 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundEquivalence: Run and RunCtx(Background) behave
+// TestRunCtxBackgroundEquivalence: Run and Submit(Background)+Wait behave
 // identically on success.
 func TestRunCtxBackgroundEquivalence(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	var out int64
-	if err := rt.RunCtx(context.Background(), func(c *Context) { fib(c, 15, &out) }); err != nil {
+	if _, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, 15, &out) }); err != nil {
 		t.Fatal(err)
 	}
 	if out != fibSerial(15) {
@@ -132,7 +132,7 @@ func TestContextCancelledPolling(t *testing.T) {
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	sawErr := make(chan error, 1)
-	err := rt.RunCtx(ctx, func(c *Context) {
+	_, err := submitWait(rt, ctx, func(c *Context) {
 		if c.Cancelled() || c.Err() != nil {
 			t.Error("fresh run already cancelled")
 		}
@@ -298,13 +298,13 @@ func TestSerialElisionCancellation(t *testing.T) {
 	rt := New(WithSerialElision())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := rt.RunCtx(ctx, func(*Context) {}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-cancelled serial RunCtx = %v, want ErrCanceled", err)
+	if _, err := submitWait(rt, ctx, func(*Context) {}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-cancelled serial Submit = %v, want ErrCanceled", err)
 	}
 	// Polled cancellation mid-run: spawns after the cancel are elided.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	ran := 0
-	err := rt.RunCtx(ctx2, func(c *Context) {
+	_, err := submitWait(rt, ctx2, func(c *Context) {
 		c.Spawn(func(*Context) { ran++ })
 		cancel2()
 		for !c.Cancelled() {
@@ -314,7 +314,7 @@ func TestSerialElisionCancellation(t *testing.T) {
 		c.Sync()
 	})
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("serial RunCtx = %v, want ErrCanceled", err)
+		t.Fatalf("serial Submit+Wait = %v, want ErrCanceled", err)
 	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 (second spawn elided)", ran)
@@ -333,7 +333,7 @@ func TestCancelTraceEvents(t *testing.T) {
 	defer rt.Shutdown()
 	rt.Tracer().Start()
 	ctx, cancel := context.WithCancel(context.Background())
-	err := rt.RunCtx(ctx, func(c *Context) {
+	_, err := submitWait(rt, ctx, func(c *Context) {
 		// Fill the single worker's deque, then cancel: everything still
 		// queued must be skipped, not run.
 		for i := 0; i < 64; i++ {
@@ -375,7 +375,7 @@ func TestRunWithStatsCtxSkippedAccounting(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := rt.RunWithStatsCtx(ctx, func(c *Context) {
+	s, err := submitWait(rt, ctx, func(c *Context) {
 		for i := 0; i < 32; i++ {
 			c.Spawn(func(*Context) {})
 		}
@@ -384,7 +384,7 @@ func TestRunWithStatsCtxSkippedAccounting(t *testing.T) {
 			time.Sleep(10 * time.Microsecond)
 		}
 		c.Sync()
-	})
+	}, WithStats())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -302,15 +302,15 @@ type Finalizer interface {
 	Finalize(v View)
 }
 
-// runState tracks one Run invocation: completion signaling, the
-// cooperative cancel gate, quarantined panics, and (for RunWithStats)
-// per-computation counters.
+// runState tracks one submitted computation: completion signaling, the
+// cooperative cancel gate, quarantined panics, and (for Ticket.Stats with
+// WithStats) per-computation counters.
 type runState struct {
-	// id identifies the Run invocation, so trace events of concurrent
+	// id identifies the submission, so trace events of concurrent
 	// computations sharing the workers can be told apart.
 	id    int64
 	rt    *Runtime
-	stats *runCounters // nil unless submitted via RunWithStats
+	stats *runCounters // nil unless submitted WithStats, observed, or memory-budgeted
 	done  chan struct{}
 
 	// canceled is the cooperative cancel gate checked at the spawn,

@@ -169,12 +169,10 @@ func laneHash(seed int64, tenant string) uint64 {
 
 // laneFor picks the lane a submission lands on: tenant-hashed for labeled
 // submissions (a tenant's roots keep hitting the lane of the worker warm
-// with its state), round-robin for anonymous ones. With WithLegacyInject
-// everything lands on lane 0 — the pre-sharding single FIFO, kept for A/B
-// measurement.
+// with its state), round-robin for anonymous ones.
 func (rt *Runtime) laneFor(tenant string) *injectLane {
 	n := len(rt.lanes)
-	if rt.cfg.legacyInject || n == 1 {
+	if n == 1 {
 		return rt.lanes[0]
 	}
 	if tenant != "" {

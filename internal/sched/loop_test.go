@@ -153,7 +153,7 @@ func TestRangeExactlyOnceSequentialLoops(t *testing.T) {
 // TestRangeExactlyOnceCancelled: under cancellation the protocol weakens to
 // at-most-once — skipped chunks are fine, double-run chunks are not — and
 // the run must still drain completely: no iteration may execute after
-// RunCtx returns (every in-flight chunk is covered by a join unit).
+// Wait returns (every in-flight chunk is covered by a join unit).
 func TestRangeExactlyOnceCancelled(t *testing.T) {
 	rt := New(WithWorkers(8))
 	defer rt.Shutdown()
@@ -162,7 +162,7 @@ func TestRangeExactlyOnceCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	err := rt.RunCtx(ctx, func(c *Context) {
+	_, err := submitWait(rt, ctx, func(c *Context) {
 		loopRange(c, 0, n, 8, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				if started.Add(1) == 256 {
@@ -216,11 +216,11 @@ func TestLoopTaskCreationReduction(t *testing.T) {
 	best := int64(1 << 62)
 	for trial := 0; trial < 3; trial++ {
 		var total atomic.Int64
-		st, err := rt.RunWithStats(func(c *Context) {
+		st, err := submitWait(rt, context.Background(), func(c *Context) {
 			loopRange(c, 0, n, grain, func(c *Context, l, h int) {
 				total.Add(int64(h - l))
 			})
-		})
+		}, WithStats())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestLoopTraceEvents(t *testing.T) {
 	defer rt.Shutdown()
 	const n = 50_000
 	rt.Tracer().Start()
-	st, err := rt.RunWithStats(func(c *Context) {
+	st, err := submitWait(rt, context.Background(), func(c *Context) {
 		loopRange(c, 0, n, 16, func(c *Context, l, h int) {
 			x := 0
 			for i := l; i < h; i++ {
@@ -260,7 +260,7 @@ func TestLoopTraceEvents(t *testing.T) {
 			}
 			_ = x
 		})
-	})
+	}, WithStats())
 	tr := rt.Tracer().Stop()
 	if err != nil {
 		t.Fatal(err)

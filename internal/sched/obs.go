@@ -56,7 +56,7 @@ type RunReport struct {
 	// *PanicError.
 	Err error
 	// Tenant and Class echo the submission's WithTenant/WithQoS options
-	// ("" and QoSBatch for the legacy Run entry points); Queued is how long
+	// ("" and QoSBatch without them, as for Run); Queued is how long
 	// the root waited in its injection lane before pickup.
 	Tenant string
 	Class  QoSClass

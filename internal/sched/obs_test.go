@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -231,10 +232,10 @@ func TestObsCallbacksPerRun(t *testing.T) {
 func TestObsUnobservedRunsZero(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
-	st, err := rt.RunWithStats(func(c *Context) {
+	st, err := submitWait(rt, context.Background(), func(c *Context) {
 		c.Spawn(func(c *Context) { spinFor(time.Millisecond) })
 		c.Sync()
-	})
+	}, WithStats())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestSanStealBatchExactlyOnce(t *testing.T) {
 	want := fibSerial(18)
 	for i := 0; i < 5; i++ {
 		var got int64
-		stats, err := rt.RunWithStats(func(c *Context) { fibYield(c, 18, &got) })
+		stats, err := submitWait(rt, context.Background(), func(c *Context) { fibYield(c, 18, &got) }, WithStats())
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -201,7 +201,7 @@ func TestSanWakeFaultSchedules(t *testing.T) {
 		opts, log := sanOpts(plan)
 		rt := New(WithWorkers(4), WithSanitize(opts))
 		var got int64
-		stats, err := rt.RunWithStats(func(c *Context) { fib(c, 16, &got) })
+		stats, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, 16, &got) }, WithStats())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -413,23 +413,23 @@ func TestSanInvariantNegativeJoin(t *testing.T) {
 
 // TestSanRunQuiescence: the per-run quiescence check passes on healthy
 // workloads of every flavour (spawn trees, loops, cancellation) — i.e. the
-// checker itself has no false positives under RunWithStats accounting.
+// checker itself has no false positives under WithStats accounting.
 func TestSanRunQuiescence(t *testing.T) {
 	opts, log := sanOpts(schedsan.RandomPlan(7))
 	rt := New(WithWorkers(4), WithSanitize(opts))
 	defer rt.Shutdown()
 	var out int64
-	if _, err := rt.RunWithStats(func(c *Context) { fib(c, 15, &out) }); err != nil {
+	if _, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, 15, &out) }, WithStats()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.RunWithStats(func(c *Context) {
+	if _, err := submitWait(rt, context.Background(), func(c *Context) {
 		counts := make([]int32, 5000)
 		loopRange(c, 0, len(counts), 3, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		})
-	}); err != nil {
+	}, WithStats()); err != nil {
 		t.Fatal(err)
 	}
 	log.empty(t)

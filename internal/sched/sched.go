@@ -40,17 +40,16 @@ import (
 
 // config collects the options for a Runtime.
 type config struct {
-	workers      int
-	serial       bool
-	hooks        Hooks
-	stealSeed    int64
-	lockThreads  bool
-	trace        bool
-	traceOpts    []TraceOption
-	sanitize     *schedsan.Options
-	observer     RunObserver
-	admission    *AdmissionConfig
-	legacyInject bool
+	workers     int
+	serial      bool
+	hooks       Hooks
+	stealSeed   int64
+	lockThreads bool
+	trace       bool
+	traceOpts   []TraceOption
+	sanitize    *schedsan.Options
+	observer    RunObserver
+	admission   *AdmissionConfig
 	// domains is the number of steal domains (see domain.go); 0 and 1 both
 	// mean flat — the paper's uniform random stealing.
 	domains int
@@ -108,8 +107,8 @@ func WithTracing(opts ...TraceOption) Option {
 }
 
 // Runtime is a Cilk work-stealing scheduler instance. Construct with New,
-// submit computations with Submit (or the legacy Run wrappers), and release
-// the workers with Shutdown.
+// submit computations with Submit (or its convenience Run), and release the
+// workers with Shutdown.
 type Runtime struct {
 	cfg     config
 	workers []*worker
@@ -260,42 +259,15 @@ func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 // after all outstanding work has drained (the rest of the run is abandoned
 // cooperatively; the runtime stays healthy for subsequent Runs). Run may be
 // called concurrently from several goroutines; the computations share the
-// workers (§3.2's performance composability). Run is
-// RunCtx(context.Background(), fn); use RunCtx for cancellation and
-// deadlines.
-//
-// Deprecated: use Submit, which subsumes all four Run entry points —
-// Run(fn) is Submit(context.Background(), fn) followed by Ticket.Wait.
+// workers (§3.2's performance composability). Run is the one-line
+// convenience for Submit(context.Background(), fn) followed by Ticket.Wait;
+// use Submit for cancellation, deadlines, per-run Stats and QoS.
 func (rt *Runtime) Run(fn func(*Context)) error {
-	_, err := rt.run(context.Background(), fn, false)
-	return err
-}
-
-// RunWithStats is Run with per-computation accounting: the returned Stats
-// covers exactly this computation — its spawns, tasks, steals of its tasks,
-// its live-frame high-water mark and deepest spawn — so concurrent Run
-// calls sharing the workers can be told apart (§3.2's performance
-// composability, now observable). StealAttempts is zero in the result:
-// failed probes cannot be attributed to any one computation. The extra
-// accounting costs a few per-run atomic increments; plain Run pays only a
-// nil check per site.
-//
-// Deprecated: use Submit with WithStats — RunWithStats(fn) is
-// Submit(context.Background(), fn, WithStats()) followed by Ticket.Wait and
-// Ticket.Stats.
-func (rt *Runtime) RunWithStats(fn func(*Context)) (Stats, error) {
-	return rt.run(context.Background(), fn, true)
-}
-
-// run is the shared body of the four legacy entry points: Submit with
-// default options, awaited inline.
-func (rt *Runtime) run(ctx context.Context, fn func(*Context), track bool) (Stats, error) {
-	tk, err := rt.submit(ctx, fn, submitCfg{qos: QoSBatch, track: track})
+	tk, err := rt.Submit(context.Background(), fn)
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
-	err = tk.Wait()
-	return tk.Stats(), err
+	return tk.Wait()
 }
 
 // runSerial executes fn's serial elision on the caller's goroutine.

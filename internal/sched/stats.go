@@ -92,14 +92,14 @@ type Stats struct {
 	// extra tasks. Steals counts every successful steal operation, batched
 	// or not, so TasksStolenBatched/StealBatches is the mean surplus per
 	// batch and Steals+TasksStolenBatched is the total number of tasks that
-	// migrated between workers. Both are zero in RunWithStats results:
+	// migrated between workers. Both are zero in Ticket.Stats (WithStats):
 	// batching is a property of the worker's hunt, not of one computation.
 	StealBatches       int64
 	TasksStolenBatched int64
 	// FailedSweeps counts steal sweeps that probed every other worker and
 	// found nothing — the consecutive-failure signal that escalates a
 	// worker's hunt from spinning through yielding to parking. Also zero in
-	// RunWithStats results, like StealAttempts.
+	// Ticket.Stats (WithStats), like StealAttempts.
 	FailedSweeps int64
 	// TasksRun is the number of spawned tasks and scheduled loop pieces
 	// executed (excluding Run roots). Absent lazy loops it equals Spawns
@@ -118,12 +118,16 @@ type Stats struct {
 	// MaxDepth is the deepest spawn depth observed.
 	MaxDepth int64
 	// Lazy-loop counters (see internal/sched/loop.go). ChunksPeeled counts
-	// grain-sized chunks executed; it is the loop analogue of iterations/grain
-	// and is schedule-independent. RangeSteals counts steals whose prize was a
-	// range task, and LoopSplits counts the halvings those steals triggered —
-	// together they measure how far the lazy split tree actually unfolded
-	// (1 + LoopSplits range tasks ever existed per loop, vs Θ(n/grain) tasks
-	// under eager splitting).
+	// chunks of at most grain iterations executed — the loop analogue of
+	// iterations/grain, but not schedule-independent: a steal-driven split
+	// halves a range at its midpoint, which need not fall on a grain
+	// boundary, so each split can add one short chunk. On one worker a loop
+	// of n iterations peels exactly ⌈n/grain⌉ chunks; in general it peels
+	// between ⌈n/grain⌉ and ⌈n/grain⌉ + LoopSplits. RangeSteals counts steals
+	// whose prize was a range task, and LoopSplits counts the halvings those
+	// steals triggered — together they measure how far the lazy split tree
+	// actually unfolded (1 + LoopSplits range tasks ever existed per loop, vs
+	// Θ(n/grain) tasks under eager splitting).
 	LoopSplits   int64
 	ChunksPeeled int64
 	RangeSteals  int64
@@ -135,7 +139,7 @@ type Stats struct {
 	// Suksompong et al.'s localized-stealing bound charges for.
 	// AffinityReinjected counts stolen range halves sent back toward their
 	// loop owner's domain instead of staying on the remote thief's deque.
-	// All are zero in RunWithStats results: locality is a property of the
+	// All are zero in Ticket.Stats (WithStats): locality is a property of the
 	// worker's hunt, not of one computation.
 	LocalSteals        int64
 	RemoteSteals       int64
@@ -147,7 +151,7 @@ type Stats struct {
 	// are rare by design — a spawn/sync region that fits in the local cap
 	// recycles frames with no global traffic at all — so a spike flags a
 	// workload whose producers and consumers are different workers (steal-
-	// heavy, or deep unbalanced trees). Zero in RunWithStats results:
+	// heavy, or deep unbalanced trees). Zero in Ticket.Stats (WithStats):
 	// recycling is a property of the worker, not of one computation.
 	PoolRefills int64
 	PoolSpills  int64

@@ -2,9 +2,9 @@ package sched
 
 // This file is the canonical submission API: Submit hands the runtime a root
 // computation plus per-run options (stats, QoS class, priority, tenant
-// label, time/memory budget) and returns a *Ticket the caller awaits. The
-// pre-redesign entry points Run/RunCtx/RunWithStats/RunWithStatsCtx are thin
-// wrappers over the same path (see their Deprecated notes).
+// label, time/memory budget) and returns a *Ticket the caller awaits. It is
+// the one general way in: Run is its one-line convenience, Submit with
+// default options followed by Ticket.Wait.
 //
 // Submission-time failures — a canceled context, a shut-down runtime, an
 // admission or quota rejection — are returned by Submit itself and never
@@ -195,10 +195,12 @@ func (tk *Ticket) settleWith(stats Stats, err error) {
 }
 
 // Submit enqueues fn as the root of a fork-join computation and returns a
-// Ticket for it. With default options it is Run's exact behavior split into
-// its two halves: Submit(ctx, fn) followed by Ticket.Wait is
-// RunCtx(ctx, fn) — same stats, same reducer fold order, same sentinel
-// errors. Submit returns an error only for submission-time failures: a
+// Ticket for it. Submit(context.Background(), fn) followed by Ticket.Wait
+// is Run(fn); a ctx adds cooperative cancellation — once ctx is canceled or
+// its deadline passes, strands not yet started are skipped, running ones
+// finish their grain (or poll Context.Cancelled), and Wait returns
+// ErrCanceled or ErrDeadlineExceeded only after the outstanding work has
+// drained. Submit returns an error only for submission-time failures: a
 // context already done (its mapped sentinel), a shut-down runtime
 // (ErrShutdown), or an admission rejection (ErrAdmission/ErrQuota, with no
 // run created); every outcome of a successfully submitted run is reported
@@ -206,13 +208,15 @@ func (tk *Ticket) settleWith(stats Stats, err error) {
 // goroutines.
 func (rt *Runtime) Submit(ctx context.Context, fn func(*Context), opts ...RunOption) (*Ticket, error) {
 	sc := submitCfg{qos: QoSBatch}
-	for _, o := range opts {
-		o(&sc)
+	if len(opts) > 0 {
+		// Options write through a pointer escape analysis cannot follow, so
+		// they fill a heap copy; without options (Run) nothing is allocated.
+		p := &submitCfg{qos: QoSBatch}
+		for _, o := range opts {
+			o(p)
+		}
+		sc = *p
 	}
-	return rt.submit(ctx, fn, sc)
-}
-
-func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, mapCtxErr(err)
 	}
@@ -296,13 +300,6 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rs.stop = stop
 
-	cls := rs.qos
-	if rt.cfg.legacyInject {
-		// The pre-sharding A/B baseline: one FIFO, blind to class and
-		// priority (accounting still tracks the declared class).
-		cls = QoSBatch
-		rs.prio = 0
-	}
 	lane := rt.laneFor(rs.tenant)
 
 	rt.mu.Lock()
@@ -317,7 +314,7 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rt.activeRoots++
 	rt.active[rs] = struct{}{}
-	lane.push(t, cls, rs.prio)
+	lane.push(t, rs.qos, rs.prio)
 	rt.injected.Add(1)
 	rt.queuedByClass[rs.qos].Add(1)
 	if s := rt.san; s != nil && s.opts.BreakInjectWake {
@@ -410,13 +407,6 @@ func (cfg *AdmissionConfig) quotaFor(tenant string) Quota {
 // tracks per-tenant load for LoadReport).
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *config) { c.admission = &cfg }
-}
-
-// WithLegacyInject reverts root injection to the pre-sharding behavior —
-// one FIFO lane, blind to QoS class and priority — kept only as the A/B
-// baseline for the serving benchmarks. Admission control still applies.
-func WithLegacyInject() Option {
-	return func(c *config) { c.legacyInject = true }
 }
 
 // maxTenantEntries bounds the admission map: once past it, fully idle

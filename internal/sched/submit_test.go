@@ -9,11 +9,23 @@ import (
 	"time"
 )
 
-// TestSubmitMatchesRun is the redesign's equivalence property: Submit with
-// default options followed by Wait is bit-identical to the legacy entry
-// points — same computed result, same reducer fold order, same per-run Stats
-// for the schedule-independent counters, across worker counts and steal
-// seeds.
+// submitWait is Submit followed by Ticket.Wait, with Submit's own
+// submission-time error folded into the returned one. The Stats are zero
+// unless opts arm accounting (WithStats) or Submit refused the run.
+func submitWait(rt *Runtime, ctx context.Context, fn func(*Context), opts ...RunOption) (Stats, error) {
+	tk, err := rt.Submit(ctx, fn, opts...)
+	if err != nil {
+		return Stats{}, err
+	}
+	err = tk.Wait()
+	return tk.Stats(), err
+}
+
+// TestSubmitMatchesRun is the equivalence property of the two entry points:
+// Run and Submit followed by Wait compute the same result with the same
+// reducer fold order, and the per-run Stats of the Submit (WithStats) agree
+// with the runtime-wide Stats of the Run on the schedule-independent
+// counters, across worker counts and steal seeds.
 func TestSubmitMatchesRun(t *testing.T) {
 	program := func(c *Context, key *fakeKey, out *int64) {
 		appendView(c, key, "a")
@@ -27,14 +39,16 @@ func TestSubmitMatchesRun(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 8} {
 		for seed := int64(0); seed < 5; seed++ {
-			// Legacy path.
+			// Run path. The runtime ran nothing else, so its totals after
+			// Shutdown are this one computation's counters.
 			rt1 := New(WithWorkers(p), WithStealSeed(seed))
 			key1 := &fakeKey{}
 			var got1 int64
-			st1, err1 := rt1.RunWithStats(func(c *Context) { program(c, key1, &got1) })
+			err1 := rt1.Run(func(c *Context) { program(c, key1, &got1) })
 			rt1.Shutdown()
+			st1 := rt1.Stats()
 
-			// Submit path, default options.
+			// Submit path.
 			rt2 := New(WithWorkers(p), WithStealSeed(seed))
 			key2 := &fakeKey{}
 			var got2 int64
@@ -66,7 +80,7 @@ func TestSubmitMatchesRun(t *testing.T) {
 }
 
 // TestSubmitSentinels: Submit reports submission-time failures itself with
-// the same sentinels the legacy entry points used, and run-time failures
+// the same sentinels Run reports, and run-time failures
 // through the Ticket.
 func TestSubmitSentinels(t *testing.T) {
 	t.Run("pre-canceled context", func(t *testing.T) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
@@ -199,7 +200,7 @@ func TestRunWithStatsExactCounts(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	var got int64
-	s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
+	s, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, n, &got) }, WithStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestRunWithStatsConcurrentRunsToldApart(t *testing.T) {
 		go func(i, n int) {
 			defer wg.Done()
 			var got int64
-			s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
+			s, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, n, &got) }, WithStats())
 			if err != nil {
 				t.Error(err)
 				return
@@ -259,7 +260,7 @@ func TestRunWithStatsSerialElision(t *testing.T) {
 	const n = 12
 	rt := New(WithSerialElision())
 	var got int64
-	s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
+	s, err := submitWait(rt, context.Background(), func(c *Context) { fib(c, n, &got) }, WithStats())
 	if err != nil {
 		t.Fatal(err)
 	}
